@@ -59,8 +59,10 @@ class GroupKeyServer:
             coder_kind=self.config.fec_coder,
             engine=self.config.engine,
         )
-        self._pending_joins = []
-        self._pending_leaves = []
+        # Insertion-ordered dicts used as ordered sets: O(1) membership
+        # tests and cancels, arrival order preserved for marking and WAL.
+        self._pending_joins = {}
+        self._pending_leaves = {}
         self._next_message_id = 0
         self.intervals_processed = 0
         from repro.obs.recorder import NULL
@@ -110,20 +112,20 @@ class GroupKeyServer:
             raise DuplicateUserError("user %r already joined/queued" % (user,))
         if self.tree.has_user(user) and user not in self._pending_leaves:
             raise DuplicateUserError("user %r already joined/queued" % (user,))
-        self._pending_joins.append(user)
+        self._pending_joins[user] = None
 
     def request_leave(self, user):
         """Queue a leave for the next rekey interval."""
         if user in self._pending_joins:
             # Joined (or re-joined) and left within one interval: cancel
             # the join; a member's earlier queued leave, if any, stands.
-            self._pending_joins.remove(user)
+            del self._pending_joins[user]
             return
         if user in self._pending_leaves:
             raise ConfigurationError("leave already queued for %r" % (user,))
         if not self.tree.has_user(user):
             raise UnknownUserError("unknown user %r" % (user,))
-        self._pending_leaves.append(user)
+        self._pending_leaves[user] = None
 
     # -- interval processing ------------------------------------------------
 
@@ -133,8 +135,8 @@ class GroupKeyServer:
         Returns ``(batch_result, rekey_message)``.  The message is empty
         when no membership changed.
         """
-        joins, leaves = self._pending_joins, self._pending_leaves
-        self._pending_joins, self._pending_leaves = [], []
+        joins, leaves = list(self._pending_joins), list(self._pending_leaves)
+        self._pending_joins, self._pending_leaves = {}, {}
         batch = self._marking.apply(self.tree, joins=joins, leaves=leaves)
         message_id = self._next_message_id
         self._next_message_id = (message_id + 1) % _MESSAGE_ID_SPACE
@@ -224,8 +226,8 @@ class GroupKeyServer:
             coder_kind=config.fec_coder,
             engine=config.engine,
         )
-        server._pending_joins = []
-        server._pending_leaves = []
+        server._pending_joins = {}
+        server._pending_leaves = {}
         server._next_message_id = int(snapshot["next_message_id"])
         server.intervals_processed = int(snapshot["intervals_processed"])
         return server

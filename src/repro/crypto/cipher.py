@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.crypto.keys import SymmetricKey
+from repro.crypto.keys import KEY_LENGTH, SymmetricKey
 from repro.errors import CryptoError
 
 _CHECKSUM_LENGTH = 4
@@ -84,18 +84,22 @@ class XorStreamCipher:
 
     @staticmethod
     def _keystream(key, length):
-        blocks = []
-        counter = 0
-        while sum(len(b) for b in blocks) < length:
-            blocks.append(
-                hashlib.blake2b(
-                    counter.to_bytes(8, "big"),
-                    key=key.material,
-                    digest_size=32,
-                ).digest()
-            )
-            counter += 1
-        return b"".join(blocks)[:length]
+        material = key.material
+        return b"".join(
+            hashlib.blake2b(
+                counter.to_bytes(8, "big"), key=material, digest_size=32
+            ).digest()
+            for counter in range(-(-length // 32))
+        )[:length]
+
+    @staticmethod
+    def _xor(data, stream):
+        # One big-int op: identical bytes to a per-byte zip, without a
+        # genexpr frame per byte (this runs once per tree edge per
+        # rekey, thousands of times an interval, on both sides).
+        return (
+            int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+        ).to_bytes(len(data), "big")
 
     @staticmethod
     def _checksum(key, data):
@@ -108,15 +112,7 @@ class XorStreamCipher:
         if not isinstance(key, SymmetricKey):
             raise CryptoError("key must be a SymmetricKey")
         plaintext = bytes(plaintext)
-        length = len(plaintext)
-        stream = self._keystream(key, length)
-        # XOR as one big-int op: identical bytes to the per-byte zip,
-        # without a genexpr frame per byte (this runs once per tree
-        # edge per rekey, thousands of times an interval).
-        body = (
-            int.from_bytes(plaintext, "big")
-            ^ int.from_bytes(stream, "big")
-        ).to_bytes(length, "big")
+        body = self._xor(plaintext, self._keystream(key, len(plaintext)))
         if self._meter is not None:
             self._meter.record_encrypt(len(plaintext))
         return body + self._checksum(key, plaintext)
@@ -132,8 +128,7 @@ class XorStreamCipher:
             ciphertext[:-_CHECKSUM_LENGTH],
             ciphertext[-_CHECKSUM_LENGTH:],
         )
-        stream = self._keystream(key, len(body))
-        plaintext = bytes(c ^ s for c, s in zip(body, stream))
+        plaintext = self._xor(body, self._keystream(key, len(body)))
         if self._checksum(key, plaintext) != checksum:
             raise CryptoError("decryption failed: wrong key or corrupt data")
         if self._meter is not None:
@@ -158,7 +153,15 @@ class XorStreamCipher:
     def decrypt_key(self, encrypted, under_key, node_id=0, version=0):
         """Recover the :class:`SymmetricKey` inside ``encrypted``."""
         material = self.decrypt(encrypted.ciphertext, under_key)
-        return SymmetricKey(material, node_id=node_id, version=version)
+        if len(material) != KEY_LENGTH:
+            raise CryptoError(
+                "key material must be %d bytes, got %d"
+                % (KEY_LENGTH, len(material))
+            )
+        # The checksum has vouched for the material; the identity comes
+        # from the caller's own tree walk, so skip SymmetricKey's
+        # public-API validation (this runs once per member path edge).
+        return SymmetricKey.trusted(material, node_id, version)
 
 
 #: Wire size of one <encryption, ID> pair in an ENC packet: a 2-byte

@@ -42,6 +42,20 @@ class SymmetricKey:
         self._node_id = int(node_id)
         self._version = int(version)
 
+    @classmethod
+    def trusted(cls, material, node_id, version):
+        """Build a key from already-validated parts, skipping checks.
+
+        For internal construction only (the key factory and the cipher),
+        where ``material`` is 16 bytes by construction and the identity
+        is a non-negative integer.
+        """
+        key = object.__new__(cls)
+        key._material = material
+        key._node_id = int(node_id)
+        key._version = int(version)
+        return key
+
     @property
     def material(self):
         """The raw 16 bytes of key material."""
@@ -111,4 +125,4 @@ class KeyFactory:
         self._generated += 1
         if self._meter is not None:
             self._meter.record_keygen()
-        return SymmetricKey(digest, node_id=node_id, version=version)
+        return SymmetricKey.trusted(digest, node_id, version)

@@ -21,9 +21,9 @@ state byte-identical (``tests/fastpath`` diffs every member's
   (failing) decryption attempt, exactly as the per-member path would;
 - indexing each recovered-encryption list by encryption ID once per
   *distinct list object* (members delivered by the same multicast slot
-  share one tuple — see ``_UserView.recovered_shared``), so per member
-  the on-path filter is an O(height) walk of dict probes instead of an
-  O(list) scan plus a sort.
+  share one tuple — see ``ArrayRekeySession.recovered_shared``), so per
+  member the on-path filter is an O(height) walk of dict probes instead
+  of an O(list) scan plus a sort.
 """
 
 from __future__ import annotations

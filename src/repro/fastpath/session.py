@@ -1,11 +1,25 @@
 """Array-plane delivery: the per-user transport loops as reductions.
 
 :class:`ArrayRekeySession` is a :class:`~repro.transport.session.RekeySession`
-whose receiver side keeps no per-user state machines.  Reception,
-coverage detection, block-ID estimation, FEC-recovery bookkeeping and
-NACK synthesis run as masked array operations over the whole user
-population at once; only the NACK packets themselves (small, post-loss)
-and the unicast mop-up (inherited unchanged) stay object-level.
+whose receiver side keeps no per-user objects.  Receiver state lives in
+arrays indexed by *position* (index into ``user_ids``), and each round
+touches only the users that can still change:
+
+- **own-slot reception** — an ENC packet covers exactly the users inside
+  its ``<frm, to>`` range, which for a user is its own plan slot or a
+  last-block duplicate of it (a duplicate repeats its original's range).
+  Coverage is one O(N) gather of each active user's own-slot column,
+  plus the duplicates' few position ranges;
+- only the users still pending after coverage (a few percent after
+  round 1, and the only rows later rounds read) get the per-block
+  codeword counts and the block-ID estimator updates, O(pending ×
+  packets);
+- FEC recovery and NACK synthesis at the round boundary run over the
+  pending rows only.
+
+So a round costs the topology's O(N × packets) loss draws plus O(N)
+here, plus O(pending × packets).  Only the NACK packets themselves
+(small, post-loss) and the unicast mop-up stay object-level.
 
 **Equivalence contract** (enforced by ``tests/fastpath``): identical RNG
 draw sequence (one multicast draw per round, the same per-user unicast
@@ -15,7 +29,8 @@ encryptions, identical protocol *events* on the obs bus.  The facts that
 make the vectorization exact:
 
 - a done user ignores every further packet, so its internal state is
-  unobservable — over-ingesting counts for done users changes nothing;
+  unobservable — its counts and estimator bounds are never read again,
+  so they are not kept up to date;
 - every codeword ``(block, seq)`` is multicast at most once per session
   (ENC only in round 1, parity rows always fresh), so per-block payload
   counts are plain cumulative sums, no dedup;
@@ -50,12 +65,12 @@ def _ceil_div(numerator, denominator):
 
 
 class _UserView:
-    """Per-user facade over the session's arrays.
+    """Read-only per-user facade over the session's arrays.
 
     Presents the slice of :class:`~repro.transport.user.UserTransport`
-    the rest of the system touches after the multicast loop: ``done``,
-    ``recovery_round``, ``recovered_encryptions`` (the delivery layer's
-    absorb input) and ``on_usr`` (the unicast mop-up's entry point).
+    that differential tests compare: ``done``, ``recovery_round`` and
+    ``recovered_encryptions``.  Views are built on demand by
+    :attr:`ArrayRekeySession.users`; the session never holds them.
     """
 
     __slots__ = ("_session", "_position", "user_id")
@@ -71,58 +86,20 @@ class _UserView:
 
     @property
     def recovery_round(self):
-        if not self._session._done[self._position]:
+        if not self.done:
             return None
         return int(self._session._recovery_round[self._position])
 
     @property
     def recovered_encryptions(self):
         session = self._session
-        if not session._done[self._position]:
+        if not self.done:
             return None
         usr = session._usr_encryptions.get(self._position)
         if usr is not None:
             return list(usr)
-        # Recovered by multicast: whichever packet delivered the user
-        # (original, duplicate, or FEC-decoded), its encryptions equal
-        # the covering plan slot's.
         slot = int(session._own_slot[self._position])
         return list(session.message.enc_packets()[slot].encryptions)
-
-    def recovered_shared(self):
-        """:attr:`recovered_encryptions` without the defensive copy.
-
-        Members recovered by the same multicast slot share one
-        encryption tuple, which is what lets the fleet absorber key its
-        per-list index on object identity instead of re-scanning the
-        list per member.  Callers must not mutate the result.
-        """
-        session = self._session
-        if not session._done[self._position]:
-            return None
-        usr = session._usr_encryptions.get(self._position)
-        if usr is not None:
-            return usr
-        slot = int(session._own_slot[self._position])
-        return session.message.enc_packets()[slot].encryptions
-
-    def on_usr(self, packet):
-        session = self._session
-        if packet.rekey_message_id != session.message.message_id:
-            raise TransportError(
-                "packet for message %d delivered to session %d"
-                % (packet.rekey_message_id, session.message.message_id)
-            )
-        if packet.user_id != self.user_id:
-            raise TransportError(
-                "USR packet for user %d delivered to user %d"
-                % (packet.user_id, self.user_id)
-            )
-        if session._done[self._position]:
-            return
-        session._usr_encryptions[self._position] = tuple(packet.encryptions)
-        session._done[self._position] = True
-        session._recovery_round[self._position] = 0
 
     def __repr__(self):
         return "_UserView(user=%d, done=%s)" % (self.user_id, self.done)
@@ -131,7 +108,7 @@ class _UserView:
 class ArrayRekeySession(RekeySession):
     """The ``engine="numpy"`` delivery session (see module docstring)."""
 
-    def _make_users(self):
+    def _init_receivers(self):
         message = self.message
         n = len(self.user_ids)
         k = message.k
@@ -139,6 +116,7 @@ class ArrayRekeySession(RekeySession):
         self._uid = np.asarray(self.user_ids, dtype=np.int64)
 
         enc = message.enc_packets()
+        self._n_slots = len(enc)
         slot_frm = np.array([p.frm_id for p in enc], dtype=np.int64)
         slot_to = np.array([p.to_id for p in enc], dtype=np.int64)
         slot_block = np.array([p.block_id for p in enc], dtype=np.int64)
@@ -160,6 +138,21 @@ class ArrayRekeySession(RekeySession):
             )
         self._own_slot = own
         self._own_block = slot_block[own]
+
+        # A last-block duplicate repeats its original's <frm, to>, so it
+        # covers exactly the users whose own slot is that original: one
+        # contiguous position range, since ``own`` ascends with the IDs.
+        dup = np.flatnonzero(slot_dup)
+        original = nd[np.searchsorted(slot_to[nd], slot_to[dup])]
+        self._dup_cover = [
+            (slot, start, stop)
+            for slot, start, stop in zip(
+                dup.tolist(),
+                np.searchsorted(own, original, side="left").tolist(),
+                np.searchsorted(own, original, side="right").tolist(),
+            )
+            if start < stop
+        ]
 
         # Static estimator contributions of each decoded block's
         # non-duplicate slots (all same-side for a pending user):
@@ -184,10 +177,33 @@ class ArrayRekeySession(RekeySession):
         self._low = np.zeros(n, dtype=np.int64)
         self._high = np.full(n, _INF, dtype=np.int64)
         self._usr_encryptions = {}
+
+    @property
+    def users(self):
+        """``{user_id: view}`` over the arrays, built fresh per access."""
         return {
-            user_id: _UserView(self, index, user_id)
-            for index, user_id in enumerate(self.user_ids)
+            user_id: _UserView(self, position, user_id)
+            for position, user_id in enumerate(self.user_ids)
         }
+
+    def recovered_shared(self):
+        """Each position's recovered encryptions, in ID order.
+
+        ``None`` for a user still pending.  Members recovered by the
+        same multicast slot share that slot's tuple (whichever packet
+        delivered them — original, duplicate or FEC-decoded — carries
+        the same encryptions), which is what lets the fleet absorber
+        index each tuple once instead of re-scanning it per member.
+        Callers must not mutate the tuples.
+        """
+        by_slot = [packet.encryptions for packet in self.message.enc_packets()]
+        recovered = [
+            by_slot[slot] if done else None
+            for slot, done in zip(self._own_slot.tolist(), self._done.tolist())
+        ]
+        for position, encryptions in self._usr_encryptions.items():
+            recovered[position] = encryptions
+        return recovered
 
     # -- multicast reception ------------------------------------------------
 
@@ -196,58 +212,75 @@ class ArrayRekeySession(RekeySession):
             return clock
         times = clock + np.array([p.offset for p in planned])
         received = self.topology.multicast_reception(times, rng=self._rng)
-        matrix = received[self._rows]
+        packets = [p.packet for p in planned]
+        enc_cols = [
+            column
+            for column, packet in enumerate(packets)
+            if packet.packet_type is PacketType.ENC
+        ]
+        pending = np.flatnonzero(~self._done)
+        if enc_cols:
+            pending = self._cover(received, packets, enc_cols, pending)
+        if pending.size:
+            self._ingest(
+                received[self._rows[pending]], packets, enc_cols, pending
+            )
+        return float(times[-1])
 
+    def _cover(self, received, packets, enc_cols, active):
+        """Finish the active users an ENC packet reached; return the rest.
+
+        Reads, per active user, only the columns of its own plan slot.
+        """
+        k = self.message.k
+        column_of_slot = np.full(self._n_slots, -1, dtype=np.int64)
+        for column in enc_cols:
+            packet = packets[column]
+            column_of_slot[packet.block_id * k + packet.seq_in_block] = column
+        hit = np.zeros(len(self._uid), dtype=bool)
+        own_column = column_of_slot[self._own_slot[active]]
+        sent = own_column >= 0
+        hit[active[sent]] = received[
+            self._rows[active[sent]], own_column[sent]
+        ]
+        for slot, start, stop in self._dup_cover:
+            column = column_of_slot[slot]
+            if column >= 0:
+                hit[start:stop] |= received[self._rows[start:stop], column]
+        covered = hit[active]
+        newly_done = active[covered]
+        self._done[newly_done] = True
+        self._recovery_round[newly_done] = self.server.rounds_completed
+        return active[~covered]
+
+    def _ingest(self, got, packets, enc_cols, pending):
+        """Codeword counts and estimator bounds for the pending rows.
+
+        ``got`` is the round's reception matrix restricted to the
+        ``pending`` positions' rows.
+        """
         # Per-block codeword counts (ENC and PARITY both count): group
         # the round's columns by block and sum each group in one pass.
-        p_block = np.array(
-            [p.packet.block_id for p in planned], dtype=np.int64
-        )
+        p_block = np.array([p.block_id for p in packets], dtype=np.int64)
         order = np.argsort(p_block, kind="stable")
         sorted_blocks = p_block[order]
         starts = np.flatnonzero(
             np.r_[True, sorted_blocks[1:] != sorted_blocks[:-1]]
         )
-        self._counts[:, sorted_blocks[starts]] += np.add.reduceat(
-            matrix[:, order].astype(np.int32), starts, axis=1
+        self._counts[np.ix_(pending, sorted_blocks[starts])] += (
+            np.add.reduceat(got[:, order].astype(np.int32), starts, axis=1)
         )
 
-        enc_cols = np.flatnonzero(
-            [p.packet.packet_type is PacketType.ENC for p in planned]
-        )
-        if len(enc_cols):
-            self._ingest_enc(matrix, [planned[i].packet for i in enc_cols],
-                             enc_cols)
-        return float(times[-1])
-
-    def _ingest_enc(self, matrix, enc_packets, enc_cols):
-        uid = self._uid[:, None]
-        frm = np.array([p.frm_id for p in enc_packets], dtype=np.int64)
-        to = np.array([p.to_id for p in enc_packets], dtype=np.int64)
-        dup = np.array([p.is_duplicate for p in enc_packets], dtype=bool)
-        blk = np.array([p.block_id for p in enc_packets], dtype=np.int64)
-        seq = np.array([p.seq_in_block for p in enc_packets], dtype=np.int64)
-        max_kid = np.array([p.max_kid for p in enc_packets], dtype=np.int64)
-        got = matrix[:, enc_cols]
-
-        active = ~self._done
-        covered = (got & (frm[None, :] <= uid) & (uid <= to[None, :])).any(
-            axis=1
-        )
-        newly_done = active & covered
-        self._done[newly_done] = True
-        self._recovery_round[newly_done] = self.server.rounds_completed
-
-        pending = active & ~covered
-        if not pending.any():
+        nd_cols = [c for c in enc_cols if not packets[c].is_duplicate]
+        if not nd_cols:
             return
-        nd = ~dup
-        if not nd.any():
-            return
-        got = got[:, nd]
-        frm, to, blk, seq, max_kid = (
-            frm[nd], to[nd], blk[nd], seq[nd], max_kid[nd]
-        )
+        enc = [packets[c] for c in nd_cols]
+        frm = np.array([p.frm_id for p in enc], dtype=np.int64)
+        to = np.array([p.to_id for p in enc], dtype=np.int64)
+        blk = np.array([p.block_id for p in enc], dtype=np.int64)
+        seq = np.array([p.seq_in_block for p in enc], dtype=np.int64)
+        max_kid = np.array([p.max_kid for p in enc], dtype=np.int64)
+        got = got[:, nd_cols]
         k = self.message.k
         degree = self._degree_hint()
         col_lo = np.where(seq == k - 1, blk + 1, blk)
@@ -256,6 +289,7 @@ class ArrayRekeySession(RekeySession):
         )
         col_hi_below = np.where(seq == 0, blk - 1, blk)
 
+        uid = self._uid[pending][:, None]
         above = got & (uid > to[None, :])
         below = got & (uid < frm[None, :])
         low_new = np.max(np.where(above, col_lo[None, :], -1), axis=1)
@@ -263,74 +297,76 @@ class ArrayRekeySession(RekeySession):
             np.min(np.where(above, col_hi_above[None, :], _INF), axis=1),
             np.min(np.where(below, col_hi_below[None, :], _INF), axis=1),
         )
-        self._low[pending] = np.maximum(
-            self._low[pending], low_new[pending]
-        )
-        self._high[pending] = np.minimum(
-            self._high[pending], high_new[pending]
-        )
+        self._low[pending] = np.maximum(self._low[pending], low_new)
+        self._high[pending] = np.minimum(self._high[pending], high_new)
 
     # -- round boundary -----------------------------------------------------
 
     def _collect_nacks(self):
-        round_index = self.server.rounds_completed
+        pending = np.flatnonzero(~self._done)
+        if not pending.size:
+            return []
         n_blocks = self._n_blocks
         k = self.message.k
-        active = ~self._done
-        if active.any():
-            # FEC recovery over the pre-tightening range: a pending user
-            # decodes every block in [low, min(high, B-1)] with >= k
-            # codewords; decoding its own block makes it done, the
-            # others only tighten the estimator (static per-block
-            # aggregates — see module docstring).
-            block_axis = np.arange(n_blocks, dtype=np.int64)[None, :]
-            hi_eff = np.minimum(self._high, n_blocks - 1)[:, None]
-            candidates = (
-                (self._counts >= k)
-                & (block_axis >= self._low[:, None])
-                & (block_axis <= hi_eff)
-                & active[:, None]
-            )
-            own_decoded = candidates[
-                np.arange(len(self._uid)), self._own_block
-            ]
-            newly_done = active & own_decoded
-            self._done[newly_done] = True
-            self._recovery_round[newly_done] = round_index
+        counts = self._counts[pending]
+        low = self._low[pending]
+        high = self._high[pending]
+        own_block = self._own_block[pending]
 
-            pending = active & ~own_decoded
-            if pending.any():
-                below = candidates & (block_axis < self._own_block[:, None])
-                above = candidates & (block_axis > self._own_block[:, None])
-                low_new = np.max(
-                    np.where(below, self._lo_from_block[None, :], -1), axis=1
-                )
-                high_new = np.minimum(
-                    np.min(
-                        np.where(below, self._hi_above_block[None, :], _INF),
-                        axis=1,
-                    ),
-                    np.min(np.where(above, block_axis - 1, _INF), axis=1),
-                )
-                self._low[pending] = np.maximum(
-                    self._low[pending], low_new[pending]
-                )
-                self._high[pending] = np.minimum(
-                    self._high[pending], high_new[pending]
-                )
+        # FEC recovery over the pre-tightening range: a pending user
+        # decodes every block in [low, min(high, B-1)] with >= k
+        # codewords; decoding its own block makes it done, the others
+        # only tighten the estimator (static per-block aggregates — see
+        # module docstring).
+        block_axis = np.arange(n_blocks, dtype=np.int64)[None, :]
+        candidates = (
+            (counts >= k)
+            & (block_axis >= low[:, None])
+            & (block_axis <= np.minimum(high, n_blocks - 1)[:, None])
+        )
+        own_decoded = candidates[np.arange(len(pending)), own_block]
+        newly_done = pending[own_decoded]
+        self._done[newly_done] = True
+        self._recovery_round[newly_done] = self.server.rounds_completed
+
+        still = ~own_decoded
+        pending, counts, low, high = (
+            pending[still], counts[still], low[still], high[still]
+        )
+        candidates, own_block = candidates[still], own_block[still]
+        below = candidates & (block_axis < own_block[:, None])
+        above = candidates & (block_axis > own_block[:, None])
+        low = np.maximum(
+            low,
+            np.max(np.where(below, self._lo_from_block[None, :], -1), axis=1),
+        )
+        high = np.minimum(
+            high,
+            np.minimum(
+                np.min(
+                    np.where(below, self._hi_above_block[None, :], _INF),
+                    axis=1,
+                ),
+                np.min(np.where(above, block_axis - 1, _INF), axis=1),
+            ),
+        )
+        self._low[pending] = low
+        self._high[pending] = high
 
         # NACKs come from the freshly tightened range; the pending set is
         # small after round 1, so real packet objects (the chaos layer's
         # seam) cost nothing.
         nacks = []
         message_id = self.message.message_id
-        hi_eff = np.minimum(self._high, n_blocks - 1)
-        for position in np.flatnonzero(~self._done).tolist():
+        ranges = zip(
+            pending.tolist(),
+            low.tolist(),
+            np.minimum(high, n_blocks - 1).tolist(),
+        )
+        for row, (position, first, last) in enumerate(ranges):
             requests = []
-            for block_id in range(
-                int(self._low[position]), int(hi_eff[position]) + 1
-            ):
-                shortfall = k - int(self._counts[position, block_id])
+            for block_id in range(first, last + 1):
+                shortfall = k - int(counts[row, block_id])
                 if shortfall > 0:
                     requests.append(
                         NackRequest(block_id=block_id, n_parity=shortfall)
@@ -345,13 +381,30 @@ class ArrayRekeySession(RekeySession):
                 )
         return nacks
 
-    # -- aggregates ---------------------------------------------------------
+    # -- unicast and aggregates ---------------------------------------------
+
+    def _on_usr(self, position, usr):
+        if usr.rekey_message_id != self.message.message_id:
+            raise TransportError(
+                "packet for message %d delivered to session %d"
+                % (usr.rekey_message_id, self.message.message_id)
+            )
+        if usr.user_id != self.user_ids[position]:
+            raise TransportError(
+                "USR packet for user %d delivered to user %d"
+                % (usr.user_id, self.user_ids[position])
+            )
+        if self._done[position]:
+            return
+        self._usr_encryptions[position] = tuple(usr.encryptions)
+        self._done[position] = True
+        self._recovery_round[position] = 0
 
     def _n_done(self):
         return int(self._done.sum())
 
-    def _pending_users(self):
-        return [int(u) for u in self._uid[~self._done]]
+    def _pending_positions(self):
+        return np.flatnonzero(~self._done).tolist()
 
     def _user_rounds(self):
         return self._recovery_round.astype(int)

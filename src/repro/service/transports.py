@@ -190,7 +190,12 @@ class SessionDelivery(DeliveryBackend):
                 if rounds == 0 and user_id in by_id
             )
         carried_set = set(carried)
-        for user_id, transport in session.users.items():
+        if absorber is not None:
+            # Read straight from the array session: no per-user objects,
+            # and members recovered by one multicast slot share its
+            # encryption tuple, which the absorber indexes once.
+            recovered = session.recovered_shared()
+        for position, user_id in enumerate(session.user_ids):
             member = by_id.get(user_id)
             if member is None:
                 raise ServiceError(
@@ -199,12 +204,11 @@ class SessionDelivery(DeliveryBackend):
             if member.name in carried_set:
                 continue
             if absorber is not None:
-                # recovered_shared skips the defensive copy so the
-                # absorber can index each slot's tuple exactly once.
-                absorber.absorb(member, transport.recovered_shared())
+                absorber.absorb(member, recovered[position])
             else:
                 member.absorb_encryptions(
-                    transport.recovered_encryptions, max_kid=message.max_kid
+                    session.users[user_id].recovered_encryptions,
+                    max_kid=message.max_kid,
                 )
 
         if carried:

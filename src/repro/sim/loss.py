@@ -55,6 +55,45 @@ class _BernoulliStepper:
         return bool(self._rng.random() < self._p)
 
 
+def _chain_losses(draws, p_first, p_given_good, p_given_loss):
+    """Loss indicators of chains walked through ``draws``, one row each.
+
+    The chain definition is sequential: column 0 is lost iff
+    ``draw < p_first``, column ``i`` iff ``draw < p_given_loss[i-1]``
+    after a loss and ``draw < p_given_good[i-1]`` after a pass.  Since
+    ``p_given_good <= p_given_loss`` for every gap (even in floating
+    point: one is ``pi * (1 - decay) <= pi``, the other
+    ``pi + (...) >= pi``), that is the same as: lost iff the draw is a
+    fresh loss (``< p_given_good``), or the previous cell is lost and
+    ``draw < p_given_loss``.  So one vectorized compare marks the fresh
+    losses and bursts are extended only from cells already lost — the
+    same bits as the sequential walk, in O(cells) compares plus
+    O(losses) work, with no per-column loop.
+    """
+    width = draws.shape[-1]
+    fresh_threshold = np.empty(width)
+    fresh_threshold[0] = p_first
+    fresh_threshold[1:] = p_given_good
+    lost = draws < fresh_threshold
+    flat_lost = lost.reshape(-1)
+    flat_draws = draws.reshape(-1)
+    cells = np.flatnonzero(flat_lost)
+    columns = cells % width
+    while cells.size:
+        # Step every burst's last cell one column on (not past its row),
+        # and keep the successors that the burst extends into.
+        inside = columns != width - 1
+        cells = cells[inside] + 1
+        columns = columns[inside] + 1
+        extends = ~flat_lost[cells] & (
+            flat_draws[cells] < p_given_loss[columns - 1]
+        )
+        cells = cells[extends]
+        columns = columns[extends]
+        flat_lost[cells] = True
+    return lost
+
+
 class TwoStateMarkovLoss:
     """Continuous-time two-state burst-loss chain.
 
@@ -117,12 +156,7 @@ class TwoStateMarkovLoss:
         gaps = np.diff(times)
         p_given_good, p_given_loss = self._skeleton_probabilities(gaps)
         draws = rng.random(times.size)
-        lost = np.empty(times.size, dtype=bool)
-        lost[0] = draws[0] < self.p
-        for i in range(1, times.size):
-            threshold = p_given_loss[i - 1] if lost[i - 1] else p_given_good[i - 1]
-            lost[i] = draws[i] < threshold
-        return lost
+        return _chain_losses(draws, self.p, p_given_good, p_given_loss)
 
     def sample_matrix(self, times, n_chains, rng):
         """``n_chains`` independent histories at the same time grid.
@@ -142,14 +176,7 @@ class TwoStateMarkovLoss:
         gaps = np.diff(times)
         p_given_good, p_given_loss = self._skeleton_probabilities(gaps)
         draws = rng.random((n_chains, times.size))
-        lost = np.empty((n_chains, times.size), dtype=bool)
-        lost[:, 0] = draws[:, 0] < self.p
-        for i in range(1, times.size):
-            threshold = np.where(
-                lost[:, i - 1], p_given_loss[i - 1], p_given_good[i - 1]
-            )
-            lost[:, i] = draws[:, i] < threshold
-        return lost
+        return _chain_losses(draws, self.p, p_given_good, p_given_loss)
 
     def stepper(self, rng):
         """Event-driven sampler holding explicit sojourn state."""

@@ -111,11 +111,11 @@ class RekeySession:
         if self.obs.enabled:
             coder.obs = self.obs
         self.coder = coder
-        self.users = self._make_users()
+        self._init_receivers()
 
-    def _make_users(self):
+    def _init_receivers(self):
         """Per-user receiver state; the array engine overrides this."""
-        return {
+        self.users = {
             user_id: UserTransport(
                 user_id,
                 k=self.message.k,
@@ -208,11 +208,13 @@ class RekeySession:
                     nacks=len(nacks),
                     recovered=self._n_done(),
                 )
-            pending = self._pending_users()
+            pending = self._pending_positions()
             if not pending:
                 break
             if not self.config.multicast_only:
-                if self.server.should_switch_to_unicast(pending):
+                if self.server.should_switch_to_unicast(
+                    [self.user_ids[position] for position in pending]
+                ):
                     self._emit(
                         "unicast_start", clock, pending=len(pending)
                     )
@@ -264,8 +266,17 @@ class RekeySession:
     def _n_done(self):
         return sum(1 for u in self.users.values() if u.done)
 
-    def _pending_users(self):
-        return [u for u in self.user_ids if not self.users[u].done]
+    def _pending_positions(self):
+        """Positions (indices into ``user_ids``) of users not yet done."""
+        return [
+            position
+            for position, user_id in enumerate(self.user_ids)
+            if not self.users[user_id].done
+        ]
+
+    def _on_usr(self, position, usr):
+        """Hand a received USR packet to the user at ``position``."""
+        self.users[self.user_ids[position]].on_usr(usr)
 
     def _deliver_round(self, planned, clock):
         if not planned:
@@ -300,7 +311,11 @@ class RekeySession:
         return float(times[-1]) if len(times) else clock
 
     def _run_unicast(self, pending, clock, unicast_stats):
-        """§7.2: escalating duplicated USR packets until everyone is done."""
+        """§7.2: escalating duplicated USR packets until everyone is done.
+
+        ``pending`` holds the unserved users' positions in ID order; each
+        attempt walks only those, in that order (the draw order).
+        """
         interval = self.config.unicast_duplicate_interval_ms * 1e-3
         duplicates = 2
         remaining = list(pending)
@@ -312,10 +327,8 @@ class RekeySession:
                     "unicast did not converge within attempt budget"
                 )
             still = []
-            for position, user_id in enumerate(self.user_ids):
-                if user_id not in remaining:
-                    continue
-                usr = self.server.usr_packet_for(user_id)
+            for position in remaining:
+                usr = self.server.usr_packet_for(self.user_ids[position])
                 times = clock + np.arange(duplicates) * interval
                 got = self.topology.unicast_reception(
                     int(self._rows[position]), times, rng=self._rng
@@ -323,10 +336,10 @@ class RekeySession:
                 unicast_stats.usr_packets_sent += duplicates
                 unicast_stats.usr_bytes_sent += duplicates * len(usr.encode())
                 if got.any():
-                    self.users[user_id].on_usr(usr)
+                    self._on_usr(position, usr)
                     unicast_stats.users_served += 1
                 else:
-                    still.append(user_id)
+                    still.append(position)
             self._emit(
                 "unicast_attempt",
                 clock,

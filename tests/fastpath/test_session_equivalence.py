@@ -167,3 +167,107 @@ def test_adaptive_rho_trajectory_matches():
             trajectory.append(round(controller.rho, 12))
         trajectories.append(trajectory)
     assert trajectories[0] == trajectories[1]
+
+
+class _RecordingTopology(MulticastTopology):
+    """Keeps every multicast reception matrix it hands out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.receptions = []
+
+    def multicast_reception(self, times, rng=None):
+        received = super().multicast_reception(times, rng=rng)
+        self.receptions.append(received.copy())
+        return received
+
+
+def test_last_block_duplicates_cover_users():
+    """k+1 ENC packets: the last block is one real packet plus k-1
+    duplicates of it.  Under heavy loss some of its users miss the real
+    packet and are covered only through a duplicate, and some stay
+    pending into round 3; both engines must still agree exactly."""
+    k = 4
+    message = make_message(n_users=200, n_leave=50, block_size=k)
+    enc = message.enc_packets()
+    real = [p for p in enc if not p.is_duplicate]
+    assert len(real) == k + 1 and len(enc) == 2 * k
+    loss = LossParameters(alpha=0.5, p_high=0.5, p_source=0.2)
+    config = SessionConfig(rho=1.0, max_multicast_rounds=4)
+    seed = 5
+    oracle, fast = run_both(message, loss, config, seed=seed)
+    assert oracle == fast
+
+    # Replay the array session with a recording topology to show that
+    # the scenario really exercises duplicate-only coverage.
+    topology = _RecordingTopology(
+        len(message.needs_by_user),
+        params=loss,
+        random_source=RandomSource(seed).child(),
+    )
+    session = ArrayRekeySession(
+        message, topology, config, rng=RandomSource(seed + 1).generator()
+    )
+    stats = session.run()
+    assert stats.n_multicast_rounds >= 3
+    assert any(r >= 3 for r in stats.user_rounds.tolist())
+    # Round 1 sends the slots block-interleaved: slot (b, s) goes out as
+    # column s * n_blocks + b.
+    column = {
+        id(p): p.seq_in_block * message.n_blocks + p.block_id for p in enc
+    }
+    last = real[-1]
+    duplicates = [column[id(p)] for p in enc if p.is_duplicate]
+    round_one = topology.receptions[0]
+    dup_only = 0
+    for position, user_id in enumerate(session.user_ids):
+        if last.frm_id <= user_id <= last.to_id:
+            row = round_one[session._rows[position]]
+            if not row[column[id(last)]] and row[duplicates].any():
+                dup_only += 1
+    assert dup_only > 0
+
+
+def test_delivered_session_is_freed_without_the_collector(monkeypatch):
+    """The array session holds no reference cycle: once
+    ``SessionDelivery.deliver`` returns, plain reference counting has
+    already freed it, with the cyclic collector switched off."""
+    import gc
+    import weakref
+
+    from repro.service.churn import PoissonChurn
+    from repro.service.daemon import RekeyDaemon
+    from repro.service.transports import SessionDelivery
+
+    sessions = []
+    alive_after_deliver = []
+    run = ArrayRekeySession.run
+    deliver = SessionDelivery.deliver
+
+    def recording_run(self):
+        sessions.append(weakref.ref(self))
+        return run(self)
+
+    def checked_deliver(self, *args, **kwargs):
+        report = deliver(self, *args, **kwargs)
+        alive_after_deliver.append(sessions[-1]() is not None)
+        return report
+
+    monkeypatch.setattr(ArrayRekeySession, "run", recording_run)
+    monkeypatch.setattr(SessionDelivery, "deliver", checked_deliver)
+    config = GroupConfig(block_size=5, seed=3, engine="numpy")
+    daemon = RekeyDaemon.start_new(
+        ["m-%03d" % i for i in range(48)],
+        config=config,
+        backend=SessionDelivery(config, seed=4),
+        churn=PoissonChurn(alpha=0.3),
+        seed=3,
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        daemon.run(3)
+    finally:
+        if enabled:
+            gc.enable()
+    assert alive_after_deliver and not any(alive_after_deliver)

@@ -120,3 +120,76 @@ class TestTwoStateMarkovLoss:
 
     def test_repr(self):
         assert "0.2" in repr(TwoStateMarkovLoss(0.2))
+
+
+def sequential_chain(model, times, shape, rng):
+    """Reference oracle: the burst-loss chain walked one column at a time.
+
+    The per-column loop the samplers used before they were vectorized:
+    each cell's threshold depends on its left neighbour's state.
+    """
+    times = np.asarray(times, dtype=float)
+    if model.p in (0.0, 1.0):
+        return np.full(shape, model.p == 1.0)
+    p_given_good, p_given_loss = model._skeleton_probabilities(np.diff(times))
+    draws = rng.random(shape).reshape(-1, times.size)
+    lost = np.empty(draws.shape, dtype=bool)
+    lost[:, 0] = draws[:, 0] < model.p
+    for i in range(1, times.size):
+        threshold = np.where(
+            lost[:, i - 1], p_given_loss[i - 1], p_given_good[i - 1]
+        )
+        lost[:, i] = draws[:, i] < threshold
+    return lost.reshape(shape)
+
+
+def oracle_grids():
+    """Regular grids from 1 us (long bursts) to 1 s, and a mixed one."""
+    grids = {
+        "%gs" % gap: np.arange(120) * gap for gap in (1e-6, 1e-3, 0.1, 1.0)
+    }
+    gaps = 10.0 ** spawn_rng(21).uniform(-6, 0, size=119)
+    gaps[::17] = 0.0  # simultaneous sends: the chain cannot move
+    grids["mixed"] = np.concatenate([[0.5], 0.5 + np.cumsum(gaps)])
+    return grids
+
+
+class TestSamplerMatchesSequentialOracle:
+    """``sample_matrix`` and ``sample_at`` produce the oracle's bits and
+    leave the generator exactly where the oracle leaves it."""
+
+    @pytest.mark.parametrize("grid", sorted(oracle_grids()))
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("n_chains", [1, 3, 4097])
+    def test_sample_matrix(self, grid, p, n_chains):
+        times = oracle_grids()[grid]
+        model = TwoStateMarkovLoss(p)
+        rng, oracle_rng = spawn_rng(31), spawn_rng(31)
+        got = model.sample_matrix(times, n_chains, rng)
+        expected = sequential_chain(
+            model, times, (n_chains, times.size), oracle_rng
+        )
+        assert got.dtype == bool and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("grid", sorted(oracle_grids()))
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.2, 0.5, 1.0])
+    def test_sample_at(self, grid, p):
+        times = oracle_grids()[grid]
+        model = TwoStateMarkovLoss(p)
+        rng, oracle_rng = spawn_rng(32), spawn_rng(32)
+        for _ in range(3):
+            got = model.sample_at(times, rng)
+            expected = sequential_chain(model, times, times.size, oracle_rng)
+            assert np.array_equal(got, expected)
+        assert rng.random() == oracle_rng.random()
+
+    def test_single_time(self):
+        model = TwoStateMarkovLoss(0.5)
+        rng, oracle_rng = spawn_rng(33), spawn_rng(33)
+        got = model.sample_matrix([0.0], 50, rng)
+        assert np.array_equal(
+            got, sequential_chain(model, [0.0], (50, 1), oracle_rng)
+        )
+        assert rng.random() == oracle_rng.random()
