@@ -25,6 +25,13 @@ with the feature on, so the ratio is a cost multiplier that must stay
 need no baseline entry (the ceiling is absolute), so the gate holds
 from the commit that introduces the benchmark.
 
+``--scaling NAME`` (repeatable) marks a benchmark as a *scaling pair*:
+its "fast" side runs a small fleet and its "reference" side a larger
+one, so the ratio is the cost multiplier of growing the fleet.  Lower
+is better, so the gate is a ceiling relative to the baseline: the
+multiplier must stay at or below ``baseline * (1 + tolerance)``.  A
+plane that starts to scale better passes; a worse blowup fails.
+
 Exit status: 0 when no benchmark regresses, 1 otherwise.  Benchmarks
 present in only one document are reported but never fail the gate (so
 adding a benchmark does not require regenerating baselines in the same
@@ -46,11 +53,12 @@ def load(path):
     return document
 
 
-def compare(current, baseline, tolerance, absolute, overhead=()):
+def compare(current, baseline, tolerance, absolute, overhead=(), scaling=()):
     """Yields (benchmark, ok, message) triples."""
     current_benchmarks = current["benchmarks"]
     baseline_benchmarks = baseline["benchmarks"]
     overhead = set(overhead)
+    scaling = set(scaling)
     for name in sorted(set(current_benchmarks) | set(baseline_benchmarks)):
         if name not in current_benchmarks:
             yield name, True, "only in baseline (skipped)"
@@ -73,6 +81,16 @@ def compare(current, baseline, tolerance, absolute, overhead=()):
 
         speedup = entry.get("speedup")
         base_speedup = base.get("speedup")
+        if name in scaling:
+            if speedup is None or base_speedup is None:
+                yield name, False, "scaling gate needs a paired benchmark"
+                continue
+            ceiling = base_speedup * (1.0 + tolerance)
+            yield name, speedup <= ceiling, (
+                "scaling %.2fx vs baseline %.2fx (ceiling %.2fx)"
+                % (speedup, base_speedup, ceiling)
+            )
+            continue
         if speedup is not None and base_speedup is not None:
             floor = base_speedup * (1.0 - tolerance)
             ok = speedup >= floor
@@ -117,6 +135,14 @@ def main(argv=None):
         help="gate NAME as an overhead pair: its fast/reference ratio "
         "must stay below 1 + tolerance (repeatable)",
     )
+    parser.add_argument(
+        "--scaling",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="gate NAME as a scaling pair: its cost multiplier must stay "
+        "at or below baseline * (1 + tolerance) (repeatable)",
+    )
     args = parser.parse_args(argv)
 
     current = load(args.current)
@@ -132,6 +158,7 @@ def main(argv=None):
     for name, ok, message in compare(
         current, baseline, args.tolerance, args.absolute,
         overhead=args.overhead,
+        scaling=args.scaling,
     ):
         status = "ok  " if ok else "FAIL"
         print("%s %-16s %s" % (status, name, message))

@@ -21,6 +21,10 @@ from repro.errors import CryptoError, TransportError
 from repro.keytree import ids as idmath
 from repro.util.validation import check_non_negative
 
+#: The cipher every member decrypts with: it holds no state, so one
+#: instance serves all members instead of one heap object per member.
+_CIPHER = XorStreamCipher()
+
 
 class GroupMember:
     """Client-side key state for one user."""
@@ -36,7 +40,6 @@ class GroupMember:
             raise TransportError(
                 "registration state lacks the individual key"
             )
-        self._cipher = XorStreamCipher()
         self._signer = signer
 
     @classmethod
@@ -128,7 +131,7 @@ class GroupMember:
                 )
             parent_id = (child_id - 1) // self.degree
             try:
-                new_key = self._cipher.decrypt_key(
+                new_key = _CIPHER.decrypt_key(
                     encrypted, child_key, node_id=parent_id
                 )
             except CryptoError:

@@ -26,8 +26,9 @@ packets so receivers can index them without decoding.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from repro.crypto.cipher import EncryptedKey
 from repro.errors import PacketDecodeError, PacketError
@@ -87,34 +88,70 @@ def _pack_type_byte(packet_type, rekey_message_id):
     return (int(packet_type) << 6) | rekey_message_id
 
 
+#: Packet types by the value of the 2-bit type field.
+_PACKET_TYPES = tuple(PacketType)
+
+
 def _unpack_type_byte(byte):
-    return PacketType(byte >> 6), byte & 0x3F
+    return _PACKET_TYPES[byte >> 6], byte & 0x3F
 
 
-@dataclass(frozen=True)
+_ENC_HEADER = struct.Struct(">BBBBHHHH")
+
+
+@functools.lru_cache(maxsize=128)
+def _entry_ids(count):
+    """The layout that reads the IDs of ``count`` entries, skipping
+    their ciphertexts."""
+    return struct.Struct(">" + "H%dx" % _CIPHERTEXT_SIZE * count)
+
+
 class EncPacket:
-    """An ENC packet: the encryptions for users in [frm_id, to_id]."""
+    """An ENC packet: the encryptions for users in [frm_id, to_id].
 
-    rekey_message_id: int
-    block_id: int
-    seq_in_block: int
-    max_kid: int
-    frm_id: int
-    to_id: int
-    encryptions: tuple
-    is_duplicate: bool = False
+    A decoded packet is read header first.  :meth:`decode` validates
+    the header and every entry's encryption ID straight from the bytes,
+    but builds no :class:`EncryptedKey`: a receiver needs only the
+    header of every packet but its own (block-ID estimation), and only
+    its path's entries of its own.  :attr:`encryptions` builds the
+    whole tuple on first read; :meth:`encryptions_for` builds just the
+    entries asked for.  Decoded and constructed packets with the same
+    fields are equal and hash equal.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        _check_u8("block_id", self.block_id)
-        _check_u8("seq_in_block", self.seq_in_block)
-        _check_u16("max_kid", self.max_kid)
-        _check_u16("frm_id", self.frm_id)
-        _check_u16("to_id", self.to_id)
-        if self.frm_id > self.to_id:
-            raise PacketError(
-                "frm_id %d > to_id %d" % (self.frm_id, self.to_id)
-            )
-        for encryption in self.encryptions:
+    __slots__ = (
+        "rekey_message_id",
+        "block_id",
+        "seq_in_block",
+        "max_kid",
+        "frm_id",
+        "to_id",
+        "is_duplicate",
+        "_encryptions",
+        "_ids",
+        "_wire",
+    )
+
+    def __init__(
+        self,
+        rekey_message_id,
+        block_id,
+        seq_in_block,
+        max_kid,
+        frm_id,
+        to_id,
+        encryptions,
+        is_duplicate=False,
+    ):
+        _check_u8("block_id", block_id)
+        _check_u8("seq_in_block", seq_in_block)
+        _check_u16("max_kid", max_kid)
+        _check_u16("frm_id", frm_id)
+        _check_u16("to_id", to_id)
+        if frm_id > to_id:
+            raise PacketError("frm_id %d > to_id %d" % (frm_id, to_id))
+        encryptions = tuple(encryptions)
+        for encryption in encryptions:
             if not isinstance(encryption, EncryptedKey):
                 raise PacketError("encryptions must be EncryptedKey objects")
             _check_u16("encryption ID", encryption.encryption_id)
@@ -125,10 +162,78 @@ class EncPacket:
                     "ciphertext must be %d bytes, got %d"
                     % (_CIPHERTEXT_SIZE, len(encryption.ciphertext))
                 )
+        self._set(
+            rekey_message_id,
+            block_id,
+            seq_in_block,
+            max_kid,
+            frm_id,
+            to_id,
+            is_duplicate,
+            encryptions,
+            None,
+            None,
+        )
+
+    def _set(self, *values):
+        # ``values`` come in ``__slots__`` order.
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def _fields(self):
+        return (
+            self.rekey_message_id,
+            self.block_id,
+            self.seq_in_block,
+            self.max_kid,
+            self.frm_id,
+            self.to_id,
+            self.encryptions,
+            self.is_duplicate,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            "EncPacket(rekey_message_id=%r, block_id=%r, seq_in_block=%r, "
+            "max_kid=%r, frm_id=%r, to_id=%r, encryptions=%r, "
+            "is_duplicate=%r)" % self._fields()
+        )
 
     @property
     def packet_type(self):
         return PacketType.ENC
+
+    @property
+    def encryptions(self):
+        """Every carried encryption, as a tuple of EncryptedKey."""
+        encryptions = self._encryptions
+        if encryptions is None:
+            encryptions = tuple(map(self._entry, range(len(self._ids))))
+            object.__setattr__(self, "_encryptions", encryptions)
+        return encryptions
+
+    def _entry(self, index):
+        offset = ENC_HEADER_SIZE + index * ENCRYPTION_ENTRY_SIZE + 2
+        return EncryptedKey(
+            self._ids[index], self._wire[offset : offset + _CIPHERTEXT_SIZE]
+        )
 
     def covers_user(self, user_id):
         """True iff this packet carries the encryptions of ``user_id``."""
@@ -137,17 +242,23 @@ class EncPacket:
     def encryptions_for(self, wanted_ids):
         """The subset of carried encryptions whose IDs are in ``wanted_ids``."""
         wanted = set(wanted_ids)
-        return [e for e in self.encryptions if e.encryption_id in wanted]
+        if self._encryptions is not None:
+            return [e for e in self._encryptions if e.encryption_id in wanted]
+        return [
+            self._entry(index)
+            for index, encryption_id in enumerate(self._ids)
+            if encryption_id in wanted
+        ]
 
     def encode(self, packet_size=DEFAULT_ENC_PACKET_SIZE):
         """Serialise to exactly ``packet_size`` bytes (zero padding)."""
-        if len(self.encryptions) > enc_packet_capacity(packet_size):
+        encryptions = self.encryptions
+        if len(encryptions) > enc_packet_capacity(packet_size):
             raise PacketError(
                 "%d encryptions exceed capacity %d"
-                % (len(self.encryptions), enc_packet_capacity(packet_size))
+                % (len(encryptions), enc_packet_capacity(packet_size))
             )
-        header = struct.pack(
-            ">BBBBHHHH",
+        header = _ENC_HEADER.pack(
             _pack_type_byte(PacketType.ENC, self.rekey_message_id),
             self.block_id,
             self.seq_in_block,
@@ -155,11 +266,11 @@ class EncPacket:
             self.max_kid,
             self.frm_id,
             self.to_id,
-            len(self.encryptions),
+            len(encryptions),
         )
         body = b"".join(
             struct.pack(">H", e.encryption_id) + e.ciphertext
-            for e in self.encryptions
+            for e in encryptions
         )
         packet = header + body
         if len(packet) > packet_size:
@@ -171,7 +282,13 @@ class EncPacket:
 
     @classmethod
     def decode(cls, data):
-        """Parse an ENC packet from its wire bytes."""
+        """Parse an ENC packet from its wire bytes.
+
+        Every malformation raises :class:`PacketDecodeError`, including
+        field values the constructor would refuse (an inverted
+        ``<frmID, toID>`` interval, the reserved encryption ID 0).
+        """
+        data = bytes(data)
         if len(data) < ENC_HEADER_SIZE:
             raise PacketDecodeError("ENC packet shorter than its header")
         (
@@ -183,9 +300,8 @@ class EncPacket:
             frm_id,
             to_id,
             count,
-        ) = struct.unpack(">BBBBHHHH", data[:ENC_HEADER_SIZE])
-        packet_type, message_id = _unpack_type_byte(type_byte)
-        if packet_type is not PacketType.ENC:
+        ) = _ENC_HEADER.unpack_from(data)
+        if type_byte >> 6 != PacketType.ENC:
             raise PacketDecodeError("not an ENC packet")
         needed = ENC_HEADER_SIZE + count * ENCRYPTION_ENTRY_SIZE
         if len(data) < needed:
@@ -193,25 +309,25 @@ class EncPacket:
                 "ENC packet truncated: need %d bytes, have %d"
                 % (needed, len(data))
             )
-        encryptions = []
-        offset = ENC_HEADER_SIZE
-        for _ in range(count):
-            (encryption_id,) = struct.unpack(
-                ">H", data[offset : offset + 2]
-            )
-            ciphertext = data[offset + 2 : offset + ENCRYPTION_ENTRY_SIZE]
-            encryptions.append(EncryptedKey(encryption_id, ciphertext))
-            offset += ENCRYPTION_ENTRY_SIZE
-        return cls(
-            rekey_message_id=message_id,
-            block_id=block_id,
-            seq_in_block=seq_in_block,
-            max_kid=max_kid,
-            frm_id=frm_id,
-            to_id=to_id,
-            encryptions=tuple(encryptions),
-            is_duplicate=bool(flags & 1),
+        if frm_id > to_id:
+            raise PacketDecodeError("frm_id %d > to_id %d" % (frm_id, to_id))
+        ids = _entry_ids(count).unpack_from(data, ENC_HEADER_SIZE)
+        if 0 in ids:
+            raise PacketDecodeError("encryption ID 0 is reserved for padding")
+        packet = object.__new__(cls)
+        packet._set(
+            type_byte & 0x3F,
+            block_id,
+            seq_in_block,
+            max_kid,
+            frm_id,
+            to_id,
+            bool(flags & 1),
+            None,
+            ids,
+            data,
         )
+        return packet
 
 
 @dataclass(frozen=True)
@@ -414,5 +530,4 @@ def decode_packet(data):
     """Dispatch on the 2-bit type and decode any protocol packet."""
     if not data:
         raise PacketDecodeError("empty packet")
-    packet_type, _ = _unpack_type_byte(data[0])
-    return _DECODERS[packet_type](data)
+    return _DECODERS[data[0] >> 6](data)

@@ -27,6 +27,9 @@ from repro.util.validation import check_positive, check_probability
 
 _MS = 1e-3
 
+#: Bound on the distinct gaps one chain model memoizes.
+_GAP_CACHE_SIZE = 64
+
 
 class BernoulliLoss:
     """Independent loss at rate ``p``."""
@@ -116,6 +119,7 @@ class TwoStateMarkovLoss:
             mean_good = self.burst_scale_ms * (1.0 - self.p) * _MS
             self._rate_leave_loss = 1.0 / mean_loss
             self._rate_leave_good = 1.0 / mean_good
+        self._gap_cache = {}
 
     @property
     def stationary_loss_rate(self):
@@ -135,6 +139,22 @@ class TwoStateMarkovLoss:
         p_loss_given_good = pi_loss * (1.0 - decay)
         p_loss_given_loss = pi_loss + (1.0 - pi_loss) * decay
         return p_loss_given_good, p_loss_given_loss
+
+    def _gap_probabilities(self, gap):
+        """``_skeleton_probabilities`` of one gap, as floats, memoized.
+
+        A stepper queried at a fixed spacing sees only a handful of
+        distinct gaps (the spacing, give or take rounding), so each is
+        computed once, by the same array expression the samplers use.
+        """
+        pair = self._gap_cache.get(gap)
+        if pair is None:
+            if len(self._gap_cache) >= _GAP_CACHE_SIZE:
+                self._gap_cache.clear()
+            p_good, p_loss = self._skeleton_probabilities(np.asarray([gap]))
+            pair = (float(p_good[0]), float(p_loss[0]))
+            self._gap_cache[gap] = pair
+        return pair
 
     def sample_at(self, times, rng):
         """Exact loss indicators at an increasing array of times.
@@ -211,11 +231,8 @@ class _MarkovStepper:
         if self._last_time is not None:
             if time < self._last_time:
                 raise SimulationError("loss queries must be non-decreasing")
-            gap = time - self._last_time
-            p_good, p_loss = model._skeleton_probabilities(
-                np.asarray([gap])
-            )
-            threshold = p_loss[0] if self._lost else p_good[0]
+            p_good, p_loss = model._gap_probabilities(time - self._last_time)
+            threshold = p_loss if self._lost else p_good
             self._lost = bool(self._rng.random() < threshold)
         self._last_time = time
         return self._lost

@@ -599,10 +599,18 @@ class WireClient:
             dropped=session.loss.dropped,
             latency_ms=round(session.latency_ms, 3),
         )
-        self.member.absorb_encryptions(
-            session.transport.recovered_encryptions,
-            max_kid=session.announce.max_kid,
-        )
+        member = self.member
+        transport = session.transport
+        # Relocate first: from an ENC packet only the entries on the
+        # member's new path are built (the absorb drops the rest anyway).
+        member.absorb_encryptions((), max_kid=session.announce.max_kid)
+        if transport.usr_packet is not None:
+            recovered = transport.usr_packet.encryptions
+        else:
+            recovered = transport.specific_packet.encryptions_for(
+                member.path_ids
+            )
+        member.absorb_encryptions(recovered)
         session.absorbed = True
         key = self.member.group_key
         self._trace_event(

@@ -90,6 +90,10 @@ class FrameKind(enum.IntEnum):
     REGISTER = 4   # client -> server: here is my address
 
 
+#: Frame kinds by their header byte.
+_FRAME_KINDS = {int(kind): kind for kind in FrameKind}
+
+
 @dataclass(frozen=True)
 class WireFrame:
     """One decoded datagram: header fields + raw payload bytes."""
@@ -190,12 +194,11 @@ def decode_frame(data):
         raise WireDecodeError(
             "unsupported wire version %d (speak %d)" % (version, WIRE_VERSION)
         )
-    try:
-        kind = FrameKind(kind)
-    except ValueError:
+    frame_kind = _FRAME_KINDS.get(kind)
+    if frame_kind is None:
         raise WireDecodeError("unknown frame kind %d" % kind)
     return WireFrame(
-        kind=kind,
+        kind=frame_kind,
         interval=interval,
         round_no=round_no,
         slot=slot,

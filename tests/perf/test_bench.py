@@ -238,6 +238,38 @@ class TestCompareGate:
         )
         assert results["daemon_obs"] is False
 
+    def scaling_verdict(self, current, baseline):
+        compare_bench = load_compare_bench()
+        document = make_document(wire_fleet=current or 1.0)
+        if current is None:
+            del document["benchmarks"]["wire_fleet"]["speedup"]
+        results = dict(
+            (name, ok)
+            for name, ok, _ in compare_bench.compare(
+                document,
+                make_document(wire_fleet=baseline),
+                tolerance=0.25,
+                absolute=False,
+                scaling=["wire_fleet"],
+            )
+        )
+        return results["wire_fleet"]
+
+    def test_scaling_gate_passes_a_plane_that_scales_better(self):
+        # The speedup floor would fail this (5.0 < 15.7 * 0.75); a lower
+        # cost multiplier is an improvement, so the ceiling passes it.
+        assert self.scaling_verdict(current=5.0, baseline=15.7) is True
+
+    def test_scaling_gate_passes_within_tolerance(self):
+        assert self.scaling_verdict(current=19.0, baseline=15.7) is True
+
+    def test_scaling_gate_fails_a_worse_blowup(self):
+        # The speedup floor would pass this; the ceiling is 15.7 * 1.25.
+        assert self.scaling_verdict(current=20.0, baseline=15.7) is False
+
+    def test_scaling_gate_requires_paired_benchmarks(self):
+        assert self.scaling_verdict(current=None, baseline=15.7) is False
+
     def test_cli_overhead_flag(self, tmp_path):
         current = tmp_path / "current.json"
         baseline = tmp_path / "baseline.json"
@@ -248,6 +280,23 @@ class TestCompareGate:
                 [
                     sys.executable, COMPARE_PATH, str(current),
                     str(baseline), "--overhead", "daemon_obs",
+                ],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == expected, proc.stdout
+
+    def test_cli_scaling_flag(self, tmp_path):
+        current = tmp_path / "current.json"
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(make_document(wire_fleet=8.0)))
+        for ratio, expected in ((4.0, 0), (10.5, 1)):
+            current.write_text(json.dumps(make_document(wire_fleet=ratio)))
+            proc = subprocess.run(
+                [
+                    sys.executable, COMPARE_PATH, str(current),
+                    str(baseline), "--tolerance", "0.25",
+                    "--scaling", "wire_fleet",
                 ],
                 capture_output=True,
                 text=True,

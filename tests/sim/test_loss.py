@@ -193,3 +193,59 @@ class TestSamplerMatchesSequentialOracle:
             got, sequential_chain(model, [0.0], (50, 1), oracle_rng)
         )
         assert rng.random() == oracle_rng.random()
+
+
+def unmemoized_steps(model, times, rng):
+    """Reference oracle for ``stepper``: the walk with each gap's
+    probabilities computed afresh on a one-element array."""
+    if model.p in (0.0, 1.0):
+        return [model.p == 1.0] * len(times)
+    lost = bool(rng.random() < model.p)
+    out = [lost]
+    for previous, time in zip(times, times[1:]):
+        p_good, p_loss = model._skeleton_probabilities(
+            np.asarray([time - previous])
+        )
+        threshold = p_loss[0] if lost else p_good[0]
+        lost = bool(rng.random() < threshold)
+        out.append(lost)
+    return out
+
+
+class TestStepperMatchesUnmemoizedOracle:
+    """The stepper's per-gap memo changes no draw: same indicators, and
+    the generator left where the oracle leaves it."""
+
+    @pytest.mark.parametrize(
+        "grid", sorted(oracle_grids()) + ["slots", "many-gaps"]
+    )
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.2, 0.5, 1.0])
+    def test_same_walk(self, grid, p):
+        if grid == "slots":
+            # The wire plane's query times: slot * spacing, whose float
+            # gaps differ from the spacing in the last bits.
+            times = [slot * 0.0103 for slot in range(400)]
+        elif grid == "many-gaps":
+            # More distinct gaps than the memo holds at once.
+            times = list(np.cumsum(spawn_rng(22).uniform(0, 0.05, 300)))
+        else:
+            times = list(oracle_grids()[grid])
+        model = TwoStateMarkovLoss(p)
+        for chain in range(3):  # later chains start from a warm memo
+            rng, oracle_rng = spawn_rng(40 + chain), spawn_rng(40 + chain)
+            stepper = model.stepper(rng)
+            got = [stepper.is_lost(time) for time in times]
+            assert got == unmemoized_steps(model, times, oracle_rng)
+            assert rng.random() == oracle_rng.random()
+
+    def test_memo_holds_the_array_values(self):
+        model = TwoStateMarkovLoss(0.2)
+        times = [slot * 0.0103 for slot in range(200)]
+        for previous, time in zip(times, times[1:]):
+            p_good, p_loss = model._skeleton_probabilities(
+                np.asarray([time - previous])
+            )
+            assert model._gap_probabilities(time - previous) == (
+                p_good[0],
+                p_loss[0],
+            )

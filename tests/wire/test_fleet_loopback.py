@@ -13,9 +13,12 @@ import io
 
 import pytest
 
+from repro.chaos.wire_faults import SendPlan
 from repro.cli import main
 from repro.core.config import GroupConfig
+from repro.rekey.packets import ENC_HEADER_SIZE, PacketType
 from repro.service.transports import make_backend
+from repro.wire.codec import WIRE_HEADER_SIZE, FrameKind, decode_frame
 from repro.wire.delivery import WireDelivery
 from repro.wire.fleet import FLEET_PLANS, resolve_plan, run_fleet
 
@@ -88,43 +91,45 @@ class TestWorkerMode:
         assert sharded.digest == local.digest
 
 
+def deliver_once(p, deadline_rounds, seed=2, faults=None):
+    """One rekey message over the wire to 11 members on a Bernoulli
+    link; returns the report and the in-process clients."""
+    from repro.core.server import GroupKeyServer
+    from repro.service.members import MemberFleet
+    from repro.sim.topology import LossParameters
+
+    config = GroupConfig(
+        block_size=5,
+        seed=seed,
+        nack_window_seconds=0.2,
+        # Bernoulli rather than bursty: the Markov chain needs many
+        # slots to mix, and this message is only a few slots long.
+        loss=LossParameters(
+            alpha=1.0, p_high=p, p_low=p, p_source=0.0, bursty=False
+        ),
+    )
+    server = GroupKeyServer(["m%02d" % i for i in range(12)], config=config)
+    fleet = MemberFleet.register_all(server)
+    leaver = sorted(server.users)[0]
+    server.request_leave(leaver)
+    fleet.evict(leaver)
+    _, message = server.rekey()
+    with WireDelivery(config, seed=seed + 1, faults=faults) as backend:
+        report = backend.deliver(
+            message, fleet, deadline_rounds=deadline_rounds
+        )
+        clients = list(backend._clients.values())
+    fleet.check_agreement(server)
+    return report, clients
+
+
 class TestHeavyLoss:
     """Force the NACK/extra-round/unicast paths with a brutal link."""
-
-    def deliver_once(self, p, deadline_rounds, seed=2):
-        from repro.core.server import GroupKeyServer
-        from repro.service.members import MemberFleet
-        from repro.sim.topology import LossParameters
-
-        config = GroupConfig(
-            block_size=5,
-            seed=seed,
-            nack_window_seconds=0.2,
-            # Bernoulli rather than bursty: the Markov chain needs many
-            # slots to mix, and this message is only a few slots long.
-            loss=LossParameters(
-                alpha=1.0, p_high=p, p_low=p, p_source=0.0, bursty=False
-            ),
-        )
-        server = GroupKeyServer(
-            ["m%02d" % i for i in range(12)], config=config
-        )
-        fleet = MemberFleet.register_all(server)
-        leaver = sorted(server.users)[0]
-        server.request_leave(leaver)
-        fleet.evict(leaver)
-        _, message = server.rekey()
-        with WireDelivery(config, seed=seed + 1) as backend:
-            report = backend.deliver(
-                message, fleet, deadline_rounds=deadline_rounds
-            )
-        fleet.check_agreement(server)
-        return report
 
     def test_nacks_and_extra_rounds(self):
         # At this (p, seed) two members lose all of round 1 and recover
         # from round-4 parity — deterministic, checked by scan.
-        report = self.deliver_once(p=0.8, deadline_rounds=8, seed=3)
+        report, _ = deliver_once(p=0.8, deadline_rounds=8, seed=3)
         assert report.first_round_nacks > 0
         assert report.multicast_rounds >= 2
         assert report.unicast_served == 0
@@ -132,11 +137,56 @@ class TestHeavyLoss:
         assert max(report.recovery_rounds) >= 2
 
     def test_unicast_cutover_at_the_deadline(self):
-        report = self.deliver_once(p=0.9, deadline_rounds=2, seed=2)
+        report, _ = deliver_once(p=0.9, deadline_rounds=2, seed=2)
         assert report.unicast_served > 0
         assert report.decision == "unicast-cutover"
         # Unicast recoveries report round 0 by convention.
         assert any(r == 0 for r in report.recovery_rounds)
+
+
+class ZeroOneEncryptionId:
+    """Fault seam that zeroes the first encryption ID of the first ENC
+    DATA frame the server sends: a well-framed datagram whose ENC body
+    the receiver must refuse."""
+
+    def __init__(self):
+        self.mangled = 0
+
+    def bind(self, obs):
+        pass
+
+    def flush(self):
+        return ()
+
+    def plan_recv(self, data):
+        return (data,)
+
+    def plan_send(self, member_index, wire):
+        frame = decode_frame(wire)
+        if (
+            not self.mangled
+            and frame.kind is FrameKind.DATA
+            and frame.payload[0] >> 6 == PacketType.ENC
+        ):
+            self.mangled += 1
+            offset = WIRE_HEADER_SIZE + ENC_HEADER_SIZE
+            wire = wire[:offset] + b"\x00\x00" + wire[offset + 2 :]
+        return SendPlan(((wire, 0.0),))
+
+
+class TestMalformedEncBody:
+    def test_zero_encryption_id_is_a_counted_decode_error(self):
+        """A DATA frame whose ENC body carries the reserved encryption
+        ID 0 is garbage to count, like a bad envelope — the client
+        treats the datagram as lost and the delivery completes."""
+        faults = ZeroOneEncryptionId()
+        report, clients = deliver_once(
+            p=0.0, deadline_rounds=8, seed=4, faults=faults
+        )
+        assert faults.mangled == 1
+        assert sum(client.decode_errors for client in clients) == 1
+        assert all(not client.errors for client in clients)
+        assert len(report.recovery_rounds) == 11
 
 
 class TestPlans:
